@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all ci fmt vet build test race bench bench-short bench-json interference-short fed-short smoke
+.PHONY: all ci fmt vet build perfbench-build test race bench bench-short bench-json interference-short fed-short smoke
 
 all: ci
 
 # Tier-1 gate (README "CI gate"): everything a change must keep green.
-ci: fmt vet build test race bench-short interference-short chaos-short fed-short smoke
+ci: fmt vet build perfbench-build test race bench-short interference-short chaos-short fed-short smoke
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 fmt:
@@ -22,6 +22,13 @@ vet:
 build:
 	$(GO) build ./...
 
+# The benchmark harness is a nested module pinned to this module's go
+# line; build it the way perfbench/run.sh does (no module proxy, no
+# workspace) so a go.mod change that breaks the benchmark fails here.
+# -o /dev/null keeps the binary out of the tree.
+perfbench-build:
+	cd perfbench && GOFLAGS= GOWORK=off GOPROXY=off $(GO) build -o /dev/null ./...
+
 # -shuffle=on randomizes test order so inter-test coupling (shared
 # sockets, leaked state) surfaces in CI instead of in the field.
 test:
@@ -32,12 +39,12 @@ race:
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, shm copies,
-# simulator calendar) — catches perf regressions that break, not ones
-# that merely slow down.
+# simulator calendar, process switch, SM timer re-arm) — catches perf
+# regressions that break, not ones that merely slow down.
 bench-short:
 	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'DaemonThroughput' -benchtime 20x -benchmem ./internal/ipc/
-	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar' -benchtime 100ms -benchmem ./...
+	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar|ProcSwitch|SMRearm' -benchtime 100ms -benchmem ./...
 
 # CI-sized chaos run: fault injection under 8-client pipelined load on a
 # 2-shard daemon — no session lost, outputs byte-identical to a

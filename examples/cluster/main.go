@@ -101,6 +101,7 @@ func simulated() {
 
 func runJob(cfg cluster.Config, procsPerNode int, spec func(node, rank int) *task.Spec) cluster.JobResult {
 	env := sim.NewEnv()
+	defer env.Close()
 	c, err := cluster.New(env, cfg)
 	if err != nil {
 		log.Fatal(err)

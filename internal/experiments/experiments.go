@@ -180,6 +180,7 @@ func Figure10() ([]OverheadPoint, error) {
 // and the kernel, with no protocol or client copies.
 func pureGPUTime(w workloads.Workload) (sim.Duration, error) {
 	env := sim.NewEnv()
+	defer env.Close()
 	dev, err := gpusim.New(env, gpusim.Config{Arch: Arch()})
 	if err != nil {
 		return 0, err

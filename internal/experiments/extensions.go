@@ -33,6 +33,7 @@ func ExtensionCluster() ([]ClusterRow, error) {
 	spec := func(node, rank int) *task.Spec { return w.Spec(rank) }
 	run := func(name string, cfg cluster.Config, procs int) (ClusterRow, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		c, err := cluster.New(env, cfg)
 		if err != nil {
 			return ClusterRow{}, err
@@ -93,6 +94,7 @@ func ExtensionMultiGPU() ([]MultiGPURow, error) {
 	w := PaperSaturatingWorkload()
 	run := func(gpus int) (float64, error) {
 		env := sim.NewEnv()
+		defer env.Close()
 		nd, err := node.New(node.Config{
 			GPUs:      gpus,
 			Arch:      fermi.TeslaC2070(),

@@ -125,6 +125,7 @@ func (t interfTrial) batchRate() float64 {
 
 func interfRun(p interfParams) (interfTrial, error) {
 	env := sim.NewEnv()
+	defer env.Close()
 	arch := Arch()
 	arch.MaxConcurrentKernels = 2
 	dev, err := gpusim.New(env, gpusim.Config{
@@ -260,6 +261,7 @@ func interfRun(p interfParams) (interfTrial, error) {
 // requested weights, so its Jain index shows what ignoring weights costs.
 func fairnessRun(ws []int, honorWeights bool, dur sim.Duration) (FairnessRun, error) {
 	env := sim.NewEnv()
+	defer env.Close()
 	dev, err := gpusim.New(env, gpusim.Config{Arch: Arch()})
 	if err != nil {
 		return FairnessRun{}, err

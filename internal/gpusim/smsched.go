@@ -118,7 +118,9 @@ type smState struct {
 	usedBlocks int
 	groups     []*smGroup
 	lastUpdate sim.Time
-	timerGen   uint64
+	// timer fires at the SM's next group completion. It is the SM's one
+	// calendar entry: every reschedule moves it in place.
+	timer *sim.Timer
 	// freshFrom marks where this dispatch pass's new groups begin in
 	// groups, so same-instant placements of one kernel merge without a
 	// scratch map.
@@ -139,8 +141,9 @@ type smGroup struct {
 func newSMScheduler(env *sim.Env, dev *Device) *smScheduler {
 	s := &smScheduler{env: env, dev: dev, arch: dev.arch, preemptRatio: dev.preemptRatio}
 	s.sms = make([]*smState, dev.arch.SMs)
+	resched := s.reschedule
 	for i := range s.sms {
-		s.sms[i] = &smState{idx: i}
+		s.sms[i] = &smState{idx: i, timer: env.NewTimer(resched)}
 	}
 	return s
 }
@@ -500,7 +503,7 @@ func (s *smScheduler) abortAll(err error) {
 		}
 		sm.groups = sm.groups[:0]
 		sm.freshFrom = 0
-		sm.timerGen++ // invalidate armed completion timers
+		sm.timer.Stop()
 	}
 	aborted := append(append([]*launchState(nil), s.active...), s.pending...)
 	s.active = s.active[:0]
@@ -737,11 +740,15 @@ func (s *smScheduler) fits(sm *smState, ls *launchState) bool {
 	return int(ls.perSM[sm.idx])+1 <= ls.occ.BlocksPerSM
 }
 
-// armTimers schedules each SM's next group completion.
+// armTimers moves each SM's timer to its next group completion, or
+// stops it when the SM has nothing left to complete. next is recomputed
+// for every busy SM, changed or not: the advanced remWork over the same
+// rate can round to a completion instant 1 ns off the armed one, and the
+// paper's numbers depend on the recomputed instant.
 func (s *smScheduler) armTimers() {
 	for _, sm := range s.sms {
-		sm.timerGen++
 		if len(sm.groups) == 0 {
+			sm.timer.Stop()
 			continue
 		}
 		rates := s.groupRates(sm)
@@ -756,16 +763,10 @@ func (s *smScheduler) armTimers() {
 			}
 		}
 		if math.IsInf(next, 1) {
+			sm.timer.Stop()
 			continue
 		}
-		gen := sm.timerGen
-		smRef := sm
-		s.env.After(sim.Duration(next*1e9)+1, func() {
-			if smRef.timerGen != gen {
-				return
-			}
-			s.reschedule()
-		})
+		sm.timer.Reset(s.env.Now().Add(sim.Duration(next*1e9) + 1))
 	}
 }
 

@@ -379,3 +379,64 @@ func TestQuickSchedulerMonotoneInWork(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// rearmFixture is a timing-only device with one acquired context and a
+// kernel of a full wave plus a partial one, so a launch keeps every SM busy
+// and its completion takes several reschedules.
+func rearmFixture(tb testing.TB) (*sim.Env, *Device, *Context, *cuda.Kernel) {
+	tb.Helper()
+	env := sim.NewEnv()
+	dev := MustNew(env, Config{Arch: fermi.TeslaC2070()})
+	var c *Context
+	env.Go("owner", func(p *sim.Proc) {
+		c = dev.CreateContext(p)
+		c.Acquire(p)
+	})
+	if err := env.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	k := &cuda.Kernel{Name: "rearm", Grid: cuda.Dim(100), Block: cuda.Dim(256), CyclesPerThread: 1000}
+	return env, dev, c, k
+}
+
+// TestWarmLaunchRearmZeroAlloc guards the SM completion timers: on a warm,
+// repeated non-functional launch→completion, re-arming every busy SM's
+// timer allocates nothing, and the whole cycle allocates only the launch's
+// own state and completion event however many reschedules it takes.
+func TestWarmLaunchRearmZeroAlloc(t *testing.T) {
+	env, dev, c, k := rearmFixture(t)
+	s := dev.sched
+	for i := 0; i < 10; i++ {
+		done := s.launch(c, k, 1)
+		if i >= 2 {
+			if a := testing.AllocsPerRun(20, s.armTimers); a != 0 {
+				t.Fatalf("launch %d: armTimers with %d busy SMs made %v allocs, want 0", i, len(s.sms), a)
+			}
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !done.Fired() {
+			t.Fatalf("launch %d did not complete", i)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		s.launch(c, k, 1)
+		_ = env.Run()
+	}); a > 2 {
+		t.Fatalf("warm launch→completion made %v allocs, want at most 2 (launchState and done event)", a)
+	}
+}
+
+// BenchmarkSMRearm measures one reschedule's re-arm of every SM's
+// completion timer with all SMs busy.
+func BenchmarkSMRearm(b *testing.B) {
+	_, dev, c, k := rearmFixture(b)
+	s := dev.sched
+	s.launch(c, k, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.armTimers()
+	}
+}

@@ -297,8 +297,9 @@ func TestDaemonMultiGPU(t *testing.T) {
 	}
 	defer s.Close()
 	const clients = 4
-	var wg sync.WaitGroup
+	var wg, placed sync.WaitGroup
 	errs := make([]error, clients)
+	placed.Add(clients)
 	for i := 0; i < clients; i++ {
 		i := i
 		wg.Add(1)
@@ -307,14 +308,21 @@ func TestDaemonMultiGPU(t *testing.T) {
 			c, err := Dial(s.Addr(), dir)
 			if err != nil {
 				errs[i] = err
+				placed.Done()
 				return
 			}
 			defer c.Close()
 			sess, err := c.Request(workloads.Ref{Name: "vecadd", Params: map[string]int{"n": 4096}}, i)
+			// Every session must be placed before any cycle runs: a pair
+			// that finishes and hangs up first would free its shard, and
+			// least-sessions would then split the late pair across both
+			// shards, leaving each barrier one party short forever.
+			placed.Done()
 			if err != nil {
 				errs[i] = err
 				return
 			}
+			placed.Wait()
 			errs[i] = sess.RunCycle(nil, nil)
 		}()
 	}

@@ -537,6 +537,12 @@ func (s *Server) serveConn(nc net.Conn, defaultPlane string) {
 			reply = transport.NewConn(nc)
 		}
 		_ = reply.WriteResponse(transport.Response{Status: "ERR", Err: msg})
+		// Drain whatever the client sends until it hangs up (bounded by a
+		// deadline) before closing: a close that races the client's first
+		// frame write fails that write with EPIPE, and the client never
+		// reads the ERR.
+		_ = nc.SetReadDeadline(time.Now().Add(time.Second))
+		_, _ = io.Copy(io.Discard, nc)
 		nc.Close()
 		return
 	}

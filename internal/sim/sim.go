@@ -2,17 +2,26 @@
 // simulation engine.
 //
 // The engine drives a virtual clock. Work is expressed either as timer
-// callbacks (At/After) or as processes: ordinary functions running on their
-// own goroutines that may block on virtual time (Sleep), on events (Wait),
-// on resources, stores and barriers. At any instant exactly one goroutine —
-// the scheduler or a single resumed process — executes, so simulations are
-// fully deterministic and need no locking of simulation state.
+// callbacks (At/After, or a re-armable Timer) or as processes: ordinary
+// functions running as coroutines that may block on virtual time (Sleep),
+// on events (Wait), on resources, stores and barriers. At any instant
+// exactly one of them — the scheduler or a single resumed process —
+// executes, and control passes between them by a direct coroutine switch,
+// so simulations are fully deterministic and need no locking of
+// simulation state.
 //
 // Ties in the event calendar are broken by schedule order (FIFO), which
 // keeps multi-process interleavings stable across runs.
+//
+// A process body that panics, or exits through runtime.Goexit (for
+// example t.Fatal in a test), does not strand the simulation: the panic
+// is re-raised, or the Goexit repeated, in the goroutine that called Run
+// or RunUntil, at the point where the scheduler resumed the process.
+// After that the environment is only good for Close.
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -55,6 +64,10 @@ type item struct {
 	at  Time
 	seq uint64
 	fn  func()
+	// tm is the Timer this entry belongs to, nil for At/After entries.
+	// The heap keeps tm.idx equal to the entry's slot so Reset and Stop
+	// can find it.
+	tm *Timer
 }
 
 func (it item) less(o item) bool {
@@ -81,54 +94,97 @@ type Env struct {
 	nowQ    []func()
 	nowHead int
 	seq     uint64
-	parked  chan struct{} // a resumed process signals here when it blocks or exits
-	blocked int           // processes alive but waiting on something other than time
-	procs   int           // processes alive
+	blocked int     // processes alive but waiting on something other than time
+	live    []*Proc // processes spawned and not yet exited, for Close
 	running bool
 }
 
-// pushCal inserts a future entry into the heap (sift-up).
-func (e *Env) pushCal(it item) {
-	e.cal = append(e.cal, it)
-	i := len(e.cal) - 1
+// up moves entry it, destined for heap slot i, toward the root until its
+// parent precedes it, and stores it there. Every entry it passes moves
+// down one level; timer entries get their new slot recorded.
+func (e *Env) up(i int, it item) {
+	cal := e.cal
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.cal[i].less(e.cal[parent]) {
+		p := cal[parent]
+		if !it.less(p) {
 			break
 		}
-		e.cal[i], e.cal[parent] = e.cal[parent], e.cal[i]
+		cal[i] = p
+		if p.tm != nil {
+			p.tm.idx = i
+		}
 		i = parent
+	}
+	cal[i] = it
+	if it.tm != nil {
+		it.tm.idx = i
 	}
 }
 
-// popCal removes the minimum heap entry (sift-down), clearing the vacated
-// slot so the closure can be collected.
-func (e *Env) popCal() {
-	n := len(e.cal) - 1
-	e.cal[0] = e.cal[n]
-	e.cal[n] = item{}
-	e.cal = e.cal[:n]
-	i := 0
+// down moves entry it, destined for heap slot i, toward the leaves until
+// it precedes its children, stores it there, and reports whether it moved.
+func (e *Env) down(i int, it item) bool {
+	cal := e.cal
+	n := len(cal)
+	i0 := i
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && e.cal[r].less(e.cal[l]) {
+		if r := l + 1; r < n && cal[r].less(cal[l]) {
 			m = r
 		}
-		if !e.cal[m].less(e.cal[i]) {
+		c := cal[m]
+		if !c.less(it) {
 			break
 		}
-		e.cal[i], e.cal[m] = e.cal[m], e.cal[i]
+		cal[i] = c
+		if c.tm != nil {
+			c.tm.idx = i
+		}
 		i = m
+	}
+	cal[i] = it
+	if it.tm != nil {
+		it.tm.idx = i
+	}
+	return i != i0
+}
+
+// fix restores heap order after slot i's entry was replaced by it.
+func (e *Env) fix(i int, it item) {
+	if !e.down(i, it) && i > 0 {
+		e.up(i, it)
+	}
+}
+
+// pushCal inserts a future entry into the heap.
+func (e *Env) pushCal(it item) {
+	e.cal = append(e.cal, it)
+	e.up(len(e.cal)-1, it)
+}
+
+// removeCal deletes heap slot i, clearing the vacated slot so the closure
+// can be collected.
+func (e *Env) removeCal(i int) {
+	if tm := e.cal[i].tm; tm != nil {
+		tm.idx = -1
+	}
+	n := len(e.cal) - 1
+	last := e.cal[n]
+	e.cal[n] = item{}
+	e.cal = e.cal[:n]
+	if i < n {
+		e.fix(i, last)
 	}
 }
 
 // NewEnv returns an empty simulation environment at time zero.
 func NewEnv() *Env {
-	return &Env{parked: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -152,17 +208,85 @@ func (e *Env) At(at Time, fn func()) { e.schedule(at, fn) }
 // After schedules fn to run d from now.
 func (e *Env) After(d Duration, fn func()) { e.schedule(e.now.Add(d), fn) }
 
-// Proc is a simulation process: user code running on its own goroutine,
-// resumed by the scheduler one at a time.
+// Timer is a re-armable calendar entry bound to one callback. Unlike
+// At/After, which enter a new entry on every call, a Timer owns at most one
+// pending entry: Reset moves it in place and Stop removes it, so an owner
+// that keeps re-arming one deadline leaves no dead entries behind and
+// allocates nothing after NewTimer.
+//
+// Reset orders exactly like scheduling a fresh At(at, fn) and discarding
+// the previous one: the entry takes a new schedule sequence number, so it
+// runs after everything already scheduled for the same instant.
+type Timer struct {
+	env *Env
+	fn  func()
+	// idx is the entry's heap slot, or -1; nowIdx is its nowQ slot when
+	// armed for the current instant, or -1. At most one is set.
+	idx    int
+	nowIdx int
+	// runNow is the nowQ entry for a same-instant arm, bound once.
+	runNow func()
+}
+
+// NewTimer returns a stopped timer that runs fn (on the scheduler
+// goroutine) each time it fires.
+func (e *Env) NewTimer(fn func()) *Timer {
+	t := &Timer{env: e, fn: fn, idx: -1, nowIdx: -1}
+	t.runNow = func() {
+		t.nowIdx = -1
+		t.fn()
+	}
+	return t
+}
+
+// Reset arms the timer to fire at instant at (or now, if the instant is in
+// the past), replacing any pending firing.
+func (t *Timer) Reset(at Time) {
+	e := t.env
+	if at <= e.now {
+		t.Stop()
+		t.nowIdx = len(e.nowQ)
+		e.nowQ = append(e.nowQ, t.runNow)
+		return
+	}
+	e.seq++
+	if t.idx >= 0 {
+		it := e.cal[t.idx]
+		it.at, it.seq = at, e.seq
+		e.fix(t.idx, it)
+		return
+	}
+	t.Stop()
+	e.pushCal(item{at: at, seq: e.seq, fn: t.fn, tm: t})
+}
+
+// Stop cancels the pending firing, if any.
+func (t *Timer) Stop() {
+	if t.idx >= 0 {
+		t.env.removeCal(t.idx)
+	}
+	if t.nowIdx >= 0 {
+		t.env.nowQ[t.nowIdx] = nil
+		t.nowIdx = -1
+	}
+}
+
+// Proc is a simulation process: user code running as a coroutine, resumed
+// by the scheduler one at a time.
 type Proc struct {
 	env    *Env
 	name   string
-	wake   chan struct{}
 	daemon bool
-	// resume is the one handoff closure every park/unpark of this process
-	// schedules, bound once at spawn so the hot path (Sleep, WaitUntil,
-	// unblock) enters the calendar without allocating a fresh closure.
+	// resume switches to the process until it parks or exits. It is bound
+	// once at spawn, so the hot path (Sleep, WaitUntil, unblock) enters the
+	// calendar without allocating a fresh closure.
 	resume func()
+	// yield parks the process, switching back to the scheduler; it
+	// returns false when Close is unwinding the process.
+	yield func(struct{}) bool
+	// stop unwinds the parked process (Close).
+	stop func()
+	slot int // index in env.live, or -1 once exited
 }
 
 // Daemonize marks the process as a daemon: a daemon blocked on a condition
@@ -182,31 +306,53 @@ func (p *Proc) Now() Time { return p.env.now }
 // Go spawns a new process running fn, starting at the current instant
 // (after already-scheduled events at this instant).
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
-	p.resume = func() { e.handoff(p) }
-	e.procs++
-	go func() {
-		<-p.wake // wait for first resume
-		fn(p)
-		e.procs--
-		e.parked <- struct{}{} // yield control back for good
-	}()
+	p := &Proc{env: e, name: name, slot: len(e.live)}
+	e.live = append(e.live, p)
+	p.start(fn)
 	e.schedule(e.now, p.resume)
 	return p
 }
 
-// handoff transfers control to p and blocks the scheduler until p either
-// parks (blocks on virtual time / an event) or exits.
-func (e *Env) handoff(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.parked
+// exited removes p from the live set.
+func (e *Env) exited(p *Proc) {
+	if p.slot < 0 {
+		return
+	}
+	n := len(e.live) - 1
+	last := e.live[n]
+	e.live[p.slot], last.slot = last, p.slot
+	e.live[n] = nil
+	e.live = e.live[:n]
+	p.slot = -1
 }
 
+// errClosed is the panic that unwinds a process parked when Close runs.
+var errClosed = errors.New("sim: environment closed")
+
 // park suspends the calling process, returning control to the scheduler,
-// until something resumes it via a calendar entry calling handoff.
+// until a calendar entry runs p.resume.
 func (p *Proc) park() {
-	p.env.parked <- struct{}{}
-	<-p.wake
+	if !p.yield(struct{}{}) {
+		panic(errClosed)
+	}
+}
+
+// Close ends every process that has not exited: processes parked on time
+// or on a condition, daemons waiting for work, and processes spawned but
+// never started. A parked process unwinds from the call that parked it,
+// running its deferred calls, and an unstarted one never runs. A
+// simulation that leaves processes parked when Run returns should Close
+// its environment, or each parked process keeps its coroutine and
+// everything it references alive. Close must not be called during Run.
+func (e *Env) Close() {
+	if e.running {
+		panic("sim: Close called during Run")
+	}
+	for n := len(e.live); n > 0; n = len(e.live) {
+		p := e.live[n-1]
+		e.exited(p)
+		p.stop()
+	}
 }
 
 // Sleep suspends the process for virtual duration d (non-negative).
@@ -263,17 +409,20 @@ func (e *Env) RunUntil(horizon Time) error {
 		// instant, so they precede everything queued in nowQ.
 		for len(e.cal) > 0 && e.cal[0].at <= e.now {
 			fn := e.cal[0].fn
-			e.popCal()
+			e.removeCal(0)
 			fn()
 		}
 		// Drain the same-instant FIFO with a cursor: callbacks may append
 		// more same-instant work, which runs in this same pass in FIFO
-		// order. Slots are cleared as they run so closures don't linger.
+		// order. Slots are cleared as they run so closures don't linger;
+		// a nil slot is a stopped Timer.
 		for e.nowHead < len(e.nowQ) {
 			fn := e.nowQ[e.nowHead]
 			e.nowQ[e.nowHead] = nil
 			e.nowHead++
-			fn()
+			if fn != nil {
+				fn()
+			}
 		}
 		e.nowQ = e.nowQ[:0]
 		e.nowHead = 0

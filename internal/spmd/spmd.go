@@ -91,6 +91,7 @@ func RunDirect(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	env := sim.NewEnv()
+	defer env.Close()
 	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, ExecWorkers: cfg.ExecWorkers, Tracer: cfg.Tracer})
 	if err != nil {
 		return Result{}, err
@@ -151,6 +152,7 @@ func RunVirt(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	env := sim.NewEnv()
+	defer env.Close()
 	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, ExecWorkers: cfg.ExecWorkers, Tracer: cfg.Tracer})
 	if err != nil {
 		return Result{}, err
@@ -257,6 +259,7 @@ func Profile(cfg Config) (model.Params, error) {
 		return model.Params{}, err
 	}
 	env := sim.NewEnv()
+	defer env.Close()
 	dev, err := gpusim.New(env, gpusim.Config{Arch: cfg.Arch, Functional: cfg.Functional, ExecWorkers: cfg.ExecWorkers})
 	if err != nil {
 		return model.Params{}, err
