@@ -39,12 +39,13 @@ race:
 
 # Quick smoke of the data-plane hot-path benchmarks (executor, IPC
 # framing, wire round trip, daemon cycle throughput, shm copies,
-# simulator calendar, process switch, SM timer re-arm) — catches perf
-# regressions that break, not ones that merely slow down.
+# simulator calendar, process switch, SM timer re-arm, SM scheduler
+# wave) — catches perf regressions that break, not ones that merely
+# slow down.
 bench-short:
 	$(GO) test -run '^$$' -bench 'IPCPipeRoundTrip|RingCycle' -benchtime 20x -benchmem ./internal/transport/ ./internal/ipc/
 	$(GO) test -run '^$$' -bench 'DaemonThroughput' -benchtime 20x -benchmem ./internal/ipc/
-	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar|ProcSwitch|SMRearm' -benchtime 100ms -benchmem ./...
+	$(GO) test -run '^$$' -bench 'FunctionalExec|IPCFrame|ShmCopy|Calendar|ProcSwitch|SMRearm|SchedWave' -benchtime 100ms -benchmem ./...
 
 # CI-sized chaos run: fault injection under 8-client pipelined load on a
 # 2-shard daemon — no session lost, outputs byte-identical to a

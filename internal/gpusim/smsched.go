@@ -52,6 +52,18 @@ type smScheduler struct {
 	pending []*launchState // waiting for a window slot; admitted by weight, FIFO within a weight
 	active  []*launchState // admitted kernels, arrival order
 	nextSM  int            // round-robin cursor
+	// lastUpdate is the instant every SM was last drained to; advanceAll
+	// moves all SMs together, so they share it.
+	lastUpdate sim.Time
+	// timer fires at the earliest group completion over all SMs; it is
+	// the scheduler's one calendar entry (see armTimers).
+	timer *sim.Timer
+	// freeGen advances whenever SM resources are returned (a group
+	// collected, or every group aborted). A kernel whose placement failed
+	// at the current generation cannot place until it advances: only
+	// placements happened since, and they only consume resources. It
+	// starts at 1, so a launchState's zero noFitGen never matches.
+	freeGen uint64
 	// preemptRatio gates wave-boundary preemption: a pending kernel
 	// preempts an active one iff pendingWeight > ratio·activeWeight.
 	// <= 0 disables preemption.
@@ -61,10 +73,11 @@ type smScheduler struct {
 	groupFree []*smGroup
 	// perSMFree recycles the per-kernel resident-block count slices.
 	perSMFree [][]int32
+	// launchFree recycles launchStates once their completion has fired.
+	launchFree []*launchState
 
 	// Scratch buffers reused across reschedules (never escape).
 	orderScratch []*launchState
-	rateScratch  []float64      // per-group drain rate, indexed like sm.groups
 	wfK          []*launchState // distinct kernels on the SM being rated
 	wfWarps      []int
 	wfBlocks     []int
@@ -100,6 +113,10 @@ type launchState struct {
 	// kernel per pass). Reset when the kernel cannot place, so credit
 	// never banks across scarcity.
 	deficit int
+	// noFitGen is the scheduler's freeGen when a placement of this
+	// kernel last found no SM with room (0: never). While freeGen is
+	// unchanged a retry would fail the same way, so placeOne skips it.
+	noFitGen uint64
 
 	start       sim.Time
 	memFloorEnd sim.Time
@@ -117,10 +134,17 @@ type smState struct {
 	usedShmem  int
 	usedBlocks int
 	groups     []*smGroup
-	lastUpdate sim.Time
-	// timer fires at the SM's next group completion. It is the SM's one
-	// calendar entry: every reschedule moves it in place.
-	timer *sim.Timer
+	// rates caches the per-block drain rate of each group, indexed like
+	// groups, while ratesOK holds. A rate depends only on the SM's group
+	// list (blocks, warps and weights) and usedWarps, which change only
+	// when a block is placed here or a group is collected or aborted;
+	// those are the only places that clear ratesOK.
+	rates   []float64
+	ratesOK bool
+	// finished flags an SM holding a drained group (remWork <= 0.5), set
+	// by advanceAll or by placing a block that carries no more work than
+	// that. collectFinished visits only flagged SMs.
+	finished bool
 	// freshFrom marks where this dispatch pass's new groups begin in
 	// groups, so same-instant placements of one kernel merge without a
 	// scratch map.
@@ -139,12 +163,12 @@ type smGroup struct {
 }
 
 func newSMScheduler(env *sim.Env, dev *Device) *smScheduler {
-	s := &smScheduler{env: env, dev: dev, arch: dev.arch, preemptRatio: dev.preemptRatio}
+	s := &smScheduler{env: env, dev: dev, arch: dev.arch, preemptRatio: dev.preemptRatio, freeGen: 1}
 	s.sms = make([]*smState, dev.arch.SMs)
-	resched := s.reschedule
 	for i := range s.sms {
-		s.sms[i] = &smState{idx: i, timer: env.NewTimer(resched)}
+		s.sms[i] = &smState{idx: i}
 	}
+	s.timer = env.NewTimer(s.reschedule)
 	return s
 }
 
@@ -167,7 +191,8 @@ func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *sim.Even
 	if shm > 0 && s.arch.SharedAllocUnit > 1 {
 		shm = (shm + s.arch.SharedAllocUnit - 1) / s.arch.SharedAllocUnit * s.arch.SharedAllocUnit
 	}
-	ls := &launchState{
+	ls := s.takeLaunch()
+	*ls = launchState{
 		ctx:         ctx,
 		k:           k,
 		occ:         occ,
@@ -189,8 +214,11 @@ func (s *smScheduler) launch(ctx *Context, k *cuda.Kernel, weight int) *sim.Even
 	} else {
 		s.pending = append(s.pending, ls)
 	}
+	// A zero-work kernel completes, and its launchState is recycled,
+	// inside this reschedule.
+	done := ls.done
 	s.reschedule()
-	return ls.done
+	return done
 }
 
 func (s *smScheduler) admit(ls *launchState) {
@@ -219,6 +247,16 @@ func (s *smScheduler) admitNext() {
 	s.admit(next)
 }
 
+func (s *smScheduler) takeLaunch() *launchState {
+	if n := len(s.launchFree); n > 0 {
+		ls := s.launchFree[n-1]
+		s.launchFree[n-1] = nil
+		s.launchFree = s.launchFree[:n-1]
+		return ls
+	}
+	return &launchState{}
+}
+
 func (s *smScheduler) takePerSM() []int32 {
 	if n := len(s.perSMFree); n > 0 {
 		p := s.perSMFree[n-1]
@@ -244,20 +282,36 @@ func (s *smScheduler) releasePerSM(ls *launchState) {
 // advanceAll drains every SM's groups up to the current instant.
 func (s *smScheduler) advanceAll() {
 	now := s.env.Now()
+	dt := now.Sub(s.lastUpdate).Seconds()
+	s.lastUpdate = now
+	if dt <= 0 {
+		return
+	}
 	for _, sm := range s.sms {
-		dt := now.Sub(sm.lastUpdate).Seconds()
-		sm.lastUpdate = now
-		if dt <= 0 || len(sm.groups) == 0 {
+		if len(sm.groups) == 0 {
 			continue
 		}
-		rates := s.groupRates(sm)
+		rates := s.smRates(sm)
 		for i, g := range sm.groups {
 			g.remWork -= rates[i] * dt
 			if g.remWork < 0 {
 				g.remWork = 0
 			}
+			if g.remWork <= 0.5 {
+				sm.finished = true
+			}
 		}
 	}
+}
+
+// smRates returns sm's per-block group drain rates, recomputing them only
+// when a placement, collection or abort has invalidated the cache.
+func (s *smScheduler) smRates(sm *smState) []float64 {
+	if !sm.ratesOK {
+		sm.rates = s.groupRates(sm, sm.rates[:0])
+		sm.ratesOK = true
+	}
+	return sm.rates
 }
 
 // denom is the warp-sharing denominator: resident warps, floored at the
@@ -282,16 +336,15 @@ func (s *smScheduler) perBlockRate(g *smGroup, denom float64) float64 {
 	return throughput * warpsPerBlock / denom
 }
 
-// groupRates returns the per-block drain rate of every group on sm, in
-// group order (the slice is scheduler scratch, valid until the next
-// call). When all resident kernels share one weight this is classic
-// processor sharing over warps, evaluated with exactly the pre-QoS float
-// operations so uniform-weight runs are bit-identical. With mixed
-// weights the SM's issue capacity is water-filled across kernels in
-// proportion to weight, each kernel capped at what its resident warps
-// can absorb through the latency-hiding floor.
-func (s *smScheduler) groupRates(sm *smState) []float64 {
-	rates := s.rateScratch[:0]
+// groupRates appends the per-block drain rate of every group on sm, in
+// group order, to rates and returns it. When all resident kernels share
+// one weight this is classic processor sharing over warps, evaluated
+// with exactly the pre-QoS float operations so uniform-weight runs are
+// bit-identical. With mixed weights the SM's issue capacity is
+// water-filled across kernels in proportion to weight, each kernel
+// capped at what its resident warps can absorb through the
+// latency-hiding floor.
+func (s *smScheduler) groupRates(sm *smState, rates []float64) []float64 {
 	uniform := true
 	for _, g := range sm.groups[1:] {
 		if g.ls.weight != sm.groups[0].ls.weight {
@@ -304,7 +357,6 @@ func (s *smScheduler) groupRates(sm *smState) []float64 {
 		for _, g := range sm.groups {
 			rates = append(rates, s.perBlockRate(g, denom))
 		}
-		s.rateScratch = rates
 		return rates
 	}
 
@@ -389,16 +441,15 @@ func (s *smScheduler) groupRates(sm *smState) []float64 {
 			}
 		}
 	}
-	s.rateScratch = rates
 	s.wfK, s.wfWarps, s.wfBlocks = ks, warps, blocks
 	s.wfCap, s.wfRate, s.wfDone = caps, kRate, done
 	return rates
 }
 
-// reschedule is called after any state change: it collects finished
-// groups, dispatches new blocks, and re-arms each SM's next-completion
-// timer. It must run with SMs already advanced to now (callers go through
-// onEvent or the launch path, which advance first).
+// reschedule is called after any state change (a launch, or the
+// completion timer firing): it drains every SM up to now, collects
+// finished groups, dispatches new blocks, and re-arms the completion
+// timer.
 func (s *smScheduler) reschedule() {
 	s.advanceAll()
 	s.collectFinished()
@@ -407,9 +458,14 @@ func (s *smScheduler) reschedule() {
 }
 
 // collectFinished removes drained groups, credits their kernels, fires
-// completion events and opens window slots.
+// completion events and opens window slots. Only SMs flagged finished
+// can hold a drained group; they are visited in index order.
 func (s *smScheduler) collectFinished() {
 	for _, sm := range s.sms {
+		if !sm.finished {
+			continue
+		}
+		sm.finished = false
 		kept := sm.groups[:0]
 		for _, g := range sm.groups {
 			// Half a lane-cycle of residual work (sub-nanosecond) counts
@@ -432,6 +488,10 @@ func (s *smScheduler) collectFinished() {
 			if ls.blocksDone == ls.total {
 				s.finish(ls)
 			}
+		}
+		if len(kept) != len(sm.groups) {
+			sm.ratesOK = false
+			s.freeGen++
 		}
 		sm.groups = kept
 	}
@@ -481,6 +541,11 @@ func (s *smScheduler) fireLaunch(ls *launchState) {
 		s.dev.emit("sm", fmt.Sprintf("ctx%d kernel %s", ls.ctx.id, ls.k.Name), ls.start, s.env.Now())
 	}
 	ls.done.Fire(nil)
+	// No group, window slot or pending entry refers to ls any more.
+	*ls = launchState{}
+	if len(s.launchFree) < 32 {
+		s.launchFree = append(s.launchFree, ls)
+	}
 }
 
 // abortAll kills every in-flight kernel (hang/fatal fault injection):
@@ -503,8 +568,11 @@ func (s *smScheduler) abortAll(err error) {
 		}
 		sm.groups = sm.groups[:0]
 		sm.freshFrom = 0
-		sm.timer.Stop()
+		sm.ratesOK = false
+		sm.finished = false
 	}
+	s.freeGen++
+	s.timer.Stop()
 	aborted := append(append([]*launchState(nil), s.active...), s.pending...)
 	s.active = s.active[:0]
 	s.pending = s.pending[:0]
@@ -680,11 +748,18 @@ func (s *smScheduler) dispatch() {
 }
 
 // placeOne places one block of ls on the first SM (round-robin from
-// nextSM) with room, and reports whether it found one.
+// nextSM) with room, and reports whether it found one. A failed scan
+// advances nextSM by exactly len(s.sms), a full turn, so skipping a
+// retry that must fail (noFitGen) leaves the cursor where the scan would.
 func (s *smScheduler) placeOne(ls *launchState) bool {
+	if ls.noFitGen == s.freeGen {
+		return false
+	}
 	for try := 0; try < len(s.sms); try++ {
 		sm := s.sms[s.nextSM]
-		s.nextSM = (s.nextSM + 1) % len(s.sms)
+		if s.nextSM++; s.nextSM == len(s.sms) {
+			s.nextSM = 0
+		}
 		if !s.fits(sm, ls) {
 			continue
 		}
@@ -706,7 +781,11 @@ func (s *smScheduler) placeOne(ls *launchState) bool {
 			g.ls = ls
 			g.remWork = ls.blockWork
 			sm.groups = append(sm.groups, g)
+			if g.remWork <= 0.5 {
+				sm.finished = true
+			}
 		}
+		sm.ratesOK = false
 		g.blocks++
 		g.warps += ls.occ.WarpsPerBlock
 		g.regs += ls.regsPerBlk
@@ -719,6 +798,7 @@ func (s *smScheduler) placeOne(ls *launchState) bool {
 		ls.blocksLeft--
 		return true
 	}
+	ls.noFitGen = s.freeGen
 	return false
 }
 
@@ -740,19 +820,26 @@ func (s *smScheduler) fits(sm *smState, ls *launchState) bool {
 	return int(ls.perSM[sm.idx])+1 <= ls.occ.BlocksPerSM
 }
 
-// armTimers moves each SM's timer to its next group completion, or
-// stops it when the SM has nothing left to complete. next is recomputed
-// for every busy SM, changed or not: the advanced remWork over the same
-// rate can round to a completion instant 1 ns off the armed one, and the
-// paper's numbers depend on the recomputed instant.
+// armTimers moves the scheduler's completion timer to the earliest group
+// completion over all SMs, or stops it when nothing is left to complete.
+// next is recomputed for every busy group, changed or not: the advanced
+// remWork over the same rate can round to a completion instant 1 ns off
+// the armed one, and the paper's numbers depend on the recomputed instant.
+//
+// One timer orders exactly like one timer per SM re-armed in SM order.
+// Those per-SM arms all happened in the same pass, so their sequence
+// numbers formed one contiguous block, and every other calendar entry
+// ordered before or after the whole block. The first of them to fire ran
+// reschedule, which re-armed or stopped all the others before any of them
+// could fire. So only the earliest per-SM instant ever mattered, and the
+// minimum over SMs of floor(next·1e9) is floor(min next·1e9).
 func (s *smScheduler) armTimers() {
+	next := math.Inf(1)
 	for _, sm := range s.sms {
 		if len(sm.groups) == 0 {
-			sm.timer.Stop()
 			continue
 		}
-		rates := s.groupRates(sm)
-		next := math.Inf(1)
+		rates := s.smRates(sm)
 		for i, g := range sm.groups {
 			rate := rates[i]
 			if rate <= 0 {
@@ -762,12 +849,12 @@ func (s *smScheduler) armTimers() {
 				next = t
 			}
 		}
-		if math.IsInf(next, 1) {
-			sm.timer.Stop()
-			continue
-		}
-		sm.timer.Reset(s.env.Now().Add(sim.Duration(next*1e9) + 1))
 	}
+	if math.IsInf(next, 1) {
+		s.timer.Stop()
+		return
+	}
+	s.timer.Reset(s.env.Now().Add(sim.Duration(next*1e9) + 1))
 }
 
 // Utilization returns the fraction of SM block slots currently occupied,

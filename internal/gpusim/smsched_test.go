@@ -399,10 +399,11 @@ func rearmFixture(tb testing.TB) (*sim.Env, *Device, *Context, *cuda.Kernel) {
 	return env, dev, c, k
 }
 
-// TestWarmLaunchRearmZeroAlloc guards the SM completion timers: on a warm,
-// repeated non-functional launch→completion, re-arming every busy SM's
-// timer allocates nothing, and the whole cycle allocates only the launch's
-// own state and completion event however many reschedules it takes.
+// TestWarmLaunchRearmZeroAlloc guards the scheduler's completion timer and
+// launch recycling: on a warm, repeated non-functional launch→completion,
+// re-arming the timer over every busy SM allocates nothing, and the whole
+// cycle allocates only the launch's completion event however many
+// reschedules it takes (the launchState is recycled).
 func TestWarmLaunchRearmZeroAlloc(t *testing.T) {
 	env, dev, c, k := rearmFixture(t)
 	s := dev.sched
@@ -423,13 +424,14 @@ func TestWarmLaunchRearmZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() {
 		s.launch(c, k, 1)
 		_ = env.Run()
-	}); a > 2 {
-		t.Fatalf("warm launch→completion made %v allocs, want at most 2 (launchState and done event)", a)
+	}); a > 1 {
+		t.Fatalf("warm launch→completion made %v allocs, want at most 1 (the done event)", a)
 	}
 }
 
-// BenchmarkSMRearm measures one reschedule's re-arm of every SM's
-// completion timer with all SMs busy.
+// BenchmarkSMRearm measures one reschedule's re-arm of the scheduler's
+// one completion timer: the earliest completion over every busy SM's
+// groups, with all SMs busy.
 func BenchmarkSMRearm(b *testing.B) {
 	_, dev, c, k := rearmFixture(b)
 	s := dev.sched
@@ -438,5 +440,31 @@ func BenchmarkSMRearm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.armTimers()
+	}
+}
+
+// BenchmarkSchedWave runs one wave of the VectorAdd-virt shape per op:
+// eight concurrent many-block kernels (vecadd geometry: 1024-thread
+// blocks, 8 registers per thread) on one context, launched together and
+// run to completion on the timing-only model. Every SM completion then
+// drains, collects and refills one SM while all of them stay busy, which
+// is where the paper sweep spends its scheduler time.
+func BenchmarkSchedWave(b *testing.B) {
+	env, dev, c, _ := rearmFixture(b)
+	s := dev.sched
+	ks := make([]*cuda.Kernel, 8)
+	for i := range ks {
+		ks[i] = &cuda.Kernel{Name: fmt.Sprintf("wave%d", i), Grid: cuda.Dim(2000), Block: cuda.Dim(1024),
+			RegsPerThread: 8, CyclesPerThread: 0.4}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			s.launch(c, k, 1)
+		}
+		if err := env.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"gpuvirt/internal/gpusim"
 	"gpuvirt/internal/gvm"
 	"gpuvirt/internal/metrics"
 	"gpuvirt/internal/node"
@@ -363,38 +364,54 @@ func (d *Dispatcher) serveREQ(req Request, cs *ConnState, submit ShardSubmitter)
 	}
 
 	// Admission + placement: the node picks the shard once, here; every
-	// later verb for the session routes straight to it.
-	shard, err := d.cfg.Node.Place(spec.InBytes, spec.OutBytes)
-	if err != nil {
-		return errResp(err), true
-	}
-	mgr := d.cfg.Node.Shard(shard).Mgr
-
-	// Owner phase: open the gvm session (direct staging — the dispatcher
-	// moves the bytes, the owner only accounts virtual time).
+	// later verb for the session routes straight to it. A shard can fault
+	// after Place picked it but before its owner opens the session; the
+	// device fault has then already escalated the shard's health, so the
+	// REQ places again and lands elsewhere. Every retry follows a shard
+	// leaving the placeable set, so the node's shard count bounds them.
 	var (
+		shard             int
+		mgr               *gvm.Manager
 		v                 *vgpu.VGPU
 		stageIn, stageOut []byte
 		verr              error
 		vms               float64
 	)
-	if !submit(shard, func(p *sim.Proc) {
-		v, verr = vgpu.ConnectOpts(p, mgr, spec, vgpu.Opts{
-			Direct: true, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
-		})
-		if verr == nil && d.cfg.Functional {
-			stageIn, stageOut = mgr.Staging(v.Session())
+	for attempt := 1; ; attempt++ {
+		shard, err = d.cfg.Node.Place(spec.InBytes, spec.OutBytes)
+		if err != nil {
+			return errResp(err), true
 		}
-		vms = p.Now().Milliseconds()
-	}) {
+		mgr = d.cfg.Node.Shard(shard).Mgr
+
+		// Owner phase: open the gvm session (direct staging — the
+		// dispatcher moves the bytes, the owner only accounts virtual time).
+		faulted := false
+		if !submit(shard, func(p *sim.Proc) {
+			v, verr = vgpu.ConnectOpts(p, mgr, spec, vgpu.Opts{
+				Direct: true, MemQuota: req.MemQuota, Priority: req.Priority, Weight: req.Weight,
+			})
+			if verr != nil {
+				// The manager's reply carries the device's FaultError as
+				// text only; the device still knows its typed fault.
+				faulted = mgr.Device().Fault() != gpusim.FaultNone
+			} else if d.cfg.Functional {
+				stageIn, stageOut = mgr.Staging(v.Session())
+			}
+			vms = p.Now().Milliseconds()
+		}) {
+			d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
+			return Response{}, false
+		}
+		if verr == nil {
+			break
+		}
 		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
-		return Response{}, false
-	}
-	if verr != nil {
-		d.cfg.Node.Release(shard, spec.InBytes, spec.OutBytes)
-		r := errResp(verr)
-		r.VirtualMS = vms
-		return r, true
+		if !faulted || attempt >= d.cfg.Node.NumShards() {
+			r := errResp(verr)
+			r.VirtualMS = vms
+			return r, true
+		}
 	}
 
 	if kind == PlaneRing {
